@@ -2,7 +2,8 @@
 
 Exit codes: 0 for an affirmative answer (isomorphic, member, winnable,
 satisfiable, sets found), 1 for a negative one, 2 when a distance bound is
-exceeded, 3 for usage or input errors, 4 when --oracle-check disagrees.
+exceeded, 3 for usage or input errors, 4 when --oracle-check disagrees, 5
+for an internal error (reported as one JSON line on stdout).
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
+from functools import cache
 from pathlib import Path
 from time import perf_counter
 
@@ -332,10 +335,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@cache
+def _shared_parser() -> _Parser:
+    # building the parser costs far more than parsing, and parse_args
+    # leaves the parser unchanged, so one per process serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 3
     try:
@@ -343,6 +352,18 @@ def main(argv=None) -> int:
     except (GraphFormatError, OSError, ValueError) as exc:
         print(f"kviso: error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        # a crash must not exit with a verdict code
+        traceback.print_exc()
+        _print_report(
+            {
+                "command": args.cmd,
+                "error": "internal",
+                "exception": type(exc).__name__,
+                "message": str(exc),
+            }
+        )
+        return 5
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from .graphs import (
     mask_components,
     verify_isomorphism,
 )
-from .recognition import ForbiddenFamily
+from .recognition import ForbiddenFamily, builtin_family, is_member
 from .results import DistanceExceeded, IsoResult
 
 _KINDS = ("vertex-cover", "twin-cover", "distance-to-clique", "distance-to-class")
@@ -182,21 +182,29 @@ def _decide_generic(
     return result
 
 
+# built-in classes with a backend, smallest first; each forbids one pattern
 _FAMILY_BACKENDS = {
-    "cograph": colored_gi_cograph,
-    "threshold": colored_gi_cograph,  # every threshold graph has a cotree
-    "cluster": colored_gi_cluster,
     "edgeless": colored_gi_independent,
+    "cluster": colored_gi_cluster,
+    "cograph": colored_gi_cograph,
 }
 
 
 def _backend_for_family(fam: ForbiddenFamily):
-    try:
-        return _FAMILY_BACKENDS[fam.name]
-    except KeyError:
-        raise ValueError(
-            f"no colored-isomorphism backend registered for family {fam.name!r}"
-        ) from None
+    """Backend of the smallest base class that contains fam's class.
+
+    The class of fam lies inside the H-free graphs iff H itself is not in
+    it, i.e. iff H contains some pattern of fam; so a threshold family gets
+    the cograph backend, and a family's name plays no part.
+    """
+    for name, backend in _FAMILY_BACKENDS.items():
+        (pattern,) = builtin_family(name).patterns
+        if not is_member(pattern, fam):
+            return backend
+    raise ValueError(
+        f"family {fam.name!r} allows an induced P4, so no colored-isomorphism"
+        " backend covers its class"
+    )
 
 
 def gi_distance_to_class(
@@ -250,7 +258,8 @@ def _check_uniform_clique_attachment(g: Graph, cover) -> None:
     rest = ((1 << g.n) - 1) & ~cover_mask
     for comp in mask_components(g.adj_bits, rest):
         attachments = {g.adj_bits[v] & cover_mask for v in iter_bits(comp)}
-        assert len(attachments) == 1, "twin-cover remainder clique is not uniform"
+        if len(attachments) != 1:
+            raise RuntimeError("twin-cover remainder clique is not uniform")
 
 
 def gi_twin_cover(

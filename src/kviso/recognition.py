@@ -4,12 +4,24 @@ Membership of g means no vertex subset induces any pattern of the family.
 The scan-based operations (`find_forbidden_occurrence`, `is_member`) check
 subsets in a fixed documented order and are meant for small inputs; the
 search in the deletion module goes through `first_occurrence_avoiding`,
-which dispatches to faster pattern-specific finders when it can.
+which picks a finder by the family's pattern set up to isomorphism (not by
+its name, its pattern order or repeated patterns):
+
+- {K2} (edgeless): any edge, O(n) mask operations;
+- {P3} (cluster): a vertex with two non-adjacent neighbours, O(m);
+- {P4} (cograph): cotree recognition, then a 4-path only when it fails;
+- {P4, C4, 2K2} (threshold): nested neighbourhoods, O(n log n); a failing
+  pair of vertices yields the occurrence (Chvatal & Hammer 1977; certifying
+  form after Heggernes & Kratsch 2007);
+- any other set: the generic subset scan, O(n^d) subsets.
+
+The route is computed once per family and kept on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -48,6 +60,11 @@ class ForbiddenFamily:
     @property
     def pattern_sizes(self) -> frozenset[int]:
         return frozenset(p.n for p in self.patterns)
+
+    @cached_property
+    def occurrence_finder(self):
+        """Dedicated `finder(g, mask)` for this pattern set, or None (scan)."""
+        return _finder_for(self.patterns)
 
 
 _BUILTIN_PATTERNS = {
@@ -136,19 +153,6 @@ def is_member(g: Graph, fam: ForbiddenFamily) -> bool:
 # subset scan, whose cost explodes with n.
 
 
-def _fast_kind(fam: ForbiddenFamily) -> str | None:
-    if len(fam.patterns) != 1:
-        return None
-    p = fam.patterns[0]
-    if p.n == 2 and p.num_edges == 1:
-        return "edge"
-    if p.n == 3 and p.degree_sequence() == (1, 1, 2):
-        return "path3"
-    if p.n == 4 and p.degree_sequence() == (1, 1, 2, 2):
-        return "path4"
-    return None
-
-
 def _occurrence_edge(g: Graph, mask: int) -> tuple[int, ...] | None:
     for v in iter_bits(mask):
         nb = g.adj_bits[v] & mask
@@ -196,6 +200,27 @@ def _occurrence_path4(g: Graph, mask: int) -> tuple[int, ...] | None:
     raise AssertionError("no cotree but no induced 4-path found")
 
 
+def _occurrence_threshold(g: Graph, mask: int) -> tuple[int, ...] | None:
+    # A graph is threshold iff its neighbourhoods are nested. With x before
+    # y in degree order, nesting means N(x) - {y} <= N(y); that relation is
+    # transitive, so checking consecutive pairs suffices.
+    adj = g.adj_bits
+    order = sorted(iter_bits(mask), key=lambda v: (adj[v] & mask).bit_count())
+    for x, y in zip(order, order[1:]):
+        nx = adj[x] & mask & ~(1 << y)
+        ny = adj[y] & mask & ~(1 << x)
+        only_x = nx & ~ny
+        if only_x:
+            # deg(y) >= deg(x), so y has a private neighbour too; x-a and
+            # y-b are edges, x-b and y-a are not, so {x, a, y, b} induces a
+            # P4, C4 or 2K2 according to the edges x-y and a-b
+            only_y = ny & ~nx
+            a = (only_x & -only_x).bit_length() - 1
+            b = (only_y & -only_y).bit_length() - 1
+            return tuple(sorted((x, a, y, b)))
+    return None
+
+
 def _occurrence_scan(g: Graph, fam: ForbiddenFamily, mask: int) -> tuple[int, ...] | None:
     """Lexicographically first occurrence inside `mask` (generic route)."""
     active = list(iter_bits(mask))
@@ -227,11 +252,32 @@ def first_occurrence_avoiding(
     None means the graph minus the removed vertices is in the class.
     """
     mask = ((1 << g.n) - 1) & ~removed_mask
-    kind = _fast_kind(fam)
-    if kind == "edge":
-        return _occurrence_edge(g, mask)
-    if kind == "path3":
-        return _occurrence_path3(g, mask)
-    if kind == "path4":
-        return _occurrence_path4(g, mask)
-    return _occurrence_scan(g, fam, mask)
+    finder = fam.occurrence_finder
+    if finder is None:
+        return _occurrence_scan(g, fam, mask)
+    return finder(g, mask)
+
+
+# built-in pattern sets with a dedicated finder
+_FINDERS = {
+    "edgeless": _occurrence_edge,
+    "cluster": _occurrence_path3,
+    "cograph": _occurrence_path4,
+    "threshold": _occurrence_threshold,
+}
+
+
+def _covers(patterns, others) -> bool:
+    """Is every pattern isomorphic to one of the others?"""
+    return all(
+        any(p.n == q.n and _induces(p, tuple(range(p.n)), q) for q in others)
+        for p in patterns
+    )
+
+
+def _finder_for(patterns: tuple[Graph, ...]):
+    for name, finder in _FINDERS.items():
+        known = builtin_family(name).patterns
+        if _covers(patterns, known) and _covers(known, patterns):
+            return finder
+    return None

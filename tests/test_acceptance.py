@@ -307,30 +307,36 @@ def test_criterion_cotree(atlas, criterion):
 
 def test_criterion_fpt_scaling(criterion):
     """Runtime at fixed k grows polynomially, not with a k-in-the-exponent
-    blowup: log-log slope across a 4x size range stays below 3.5."""
-    with criterion("fixed-parameter scaling, k=2, n in {100, 200, 400}") as line:
+    blowup: log-log slope across a 4x size range stays below 3.5, for the
+    cograph and the threshold base class."""
+    with criterion(
+        "fixed-parameter scaling, k=2, n in {100, 200, 400}, cograph and threshold"
+    ) as line:
         rng = random.Random(606)
         total_start = time.perf_counter()
-        times = {}
-        for n in (100, 200, 400):
-            base = helpers.random_cograph(rng, n - 2)
-            g1 = helpers.plant_deletion_vertices(rng, base, 2, p=0.3)
-            g2, _ = helpers.permuted_copy(rng, g1)
-            best = math.inf
-            for _ in range(3):
-                t0 = time.perf_counter()
-                res = gi_distance_to_class(g1, g2, COG, 2, verify=True)
-                best = min(best, time.perf_counter() - t0)
-                assert res.isomorphic
-            times[n] = max(best, 1e-4)
-        slope = math.log(times[400] / times[100]) / math.log(4.0)
-        total = time.perf_counter() - total_start
-        line(
-            f"      scaling detail: t100={times[100]:.3f}s t200={times[200]:.3f}s "
-            f"t400={times[400]:.3f}s slope={slope:.2f}"
-        )
-        assert slope <= 3.5
-        assert total <= 60
+        for fam, base_graph in (
+            (COG, helpers.random_cograph),
+            (THR, helpers.random_threshold),
+        ):
+            times = {}
+            for n in (100, 200, 400):
+                base = base_graph(rng, n - 2)
+                g1 = helpers.plant_deletion_vertices(rng, base, 2, p=0.3)
+                g2, _ = helpers.permuted_copy(rng, g1)
+                best = math.inf
+                for _ in range(3):
+                    t0 = time.perf_counter()
+                    res = gi_distance_to_class(g1, g2, fam, 2, verify=True)
+                    best = min(best, time.perf_counter() - t0)
+                    assert res.isomorphic
+                times[n] = max(best, 1e-4)
+            slope = math.log(times[400] / times[100]) / math.log(4.0)
+            line(
+                f"      scaling detail ({fam.name}): t100={times[100]:.3f}s "
+                f"t200={times[200]:.3f}s t400={times[400]:.3f}s slope={slope:.2f}"
+            )
+            assert slope <= 3.5
+        assert time.perf_counter() - total_start <= 60
 
 
 def test_criterion_games_and_sat(criterion):

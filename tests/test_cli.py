@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from kviso import cli
 from kviso.cli import main
 from kviso.graphs import (
     Graph,
@@ -198,3 +199,43 @@ def test_malformed_graph_exit_3(tmp_path, capsys):
 
 def test_negative_k_exit_3(graphs, capsys):
     assert main(["vc", graphs["p3"], "--k", "-1"]) == 3
+
+
+def test_repeated_calls_are_independent(graphs, capsys):
+    # one parser serves every call in a process; no argument or default
+    # may leak from one call into the next
+    assert main(["iso", graphs["p4"], graphs["p4r"], "--param", "dist-cograph",
+                 "--k", "1", "--certificate"]) == 0
+    first = report_of(capsys)
+    assert first["verdict"] == "isomorphic" and "witness" in first
+    assert main(["iso", graphs["p4"], "--k", "1"]) == 3
+    capsys.readouterr()
+    assert main(["iso", graphs["c6"], graphs["2k3"], "--param", "dist-cluster",
+                 "--k", "2"]) == 1
+    second = report_of(capsys)
+    assert second["verdict"] == "non-isomorphic" and "witness" not in second
+    assert second["param"] == "dist-cluster" and second["k"] == 2
+    assert main(["recognize", graphs["p3"], "--family", "cluster"]) == 1
+    assert report_of(capsys) == {"command": "recognize", "family": "cluster",
+                                 "n": 3, "member": False}
+    assert main(["iso", graphs["p4"], graphs["p4r"], "--param", "dist-cograph",
+                 "--k", "1", "--certificate"]) == 0
+    assert report_of(capsys)["witness"] == first["witness"]
+
+
+def test_internal_error_exit_5(graphs, capsys, monkeypatch):
+    # a crash is not a verdict: it exits 5 with a one-line JSON report
+    def broken(*args, **kwargs):
+        raise RuntimeError("engine exploded")
+
+    monkeypatch.setattr(cli, "decide", broken)
+    rc = main(["iso", graphs["p4"], graphs["p4r"], "--param", "dist-cograph",
+               "--k", "1"])
+    assert rc == 5
+    captured = capsys.readouterr()
+    lines = captured.out.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"command": "iso", "error": "internal",
+                                    "exception": "RuntimeError",
+                                    "message": "engine exploded"}
+    assert "engine exploded" in captured.err

@@ -1,14 +1,20 @@
 """The deletion-anchored isomorphism engine."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import helpers
 from kviso.deletion import enumerate_deletion_sets
+from kviso import engine
 from kviso.engine import (
     EngineStats,
     Parameterization,
+    _backend_for_family,
     _search_candidates,
     anchor_color,
     decide,
@@ -30,7 +36,7 @@ from kviso.graphs import (
     verify_isomorphism,
 )
 from kviso.oracle import brute_force_gi
-from kviso.recognition import builtin_family
+from kviso.recognition import ForbiddenFamily, builtin_family
 from kviso.results import DistanceExceeded, IsoResult
 
 COG = builtin_family("cograph")
@@ -189,6 +195,48 @@ def test_unknown_family_backend():
     )
     with pytest.raises(ValueError):
         gi_distance_to_class(path_graph(2), path_graph(2), fam_c4, 1)
+
+
+def test_backend_by_class_not_name():
+    # a family's class picks the smallest base class containing it
+    star = star_graph(3)
+    star_r = relabel(star, [2, 0, 3, 1])
+    named_cluster = ForbiddenFamily("cluster", (path_graph(4),))
+    assert _backend_for_family(named_cluster) is engine._FAMILY_BACKENDS["cograph"]
+    res = gi_distance_to_class(star, star_r, named_cluster, 0, verify=True)
+    assert res.isomorphic
+    mine = ForbiddenFamily("mine", (complete_graph(2),))
+    assert _backend_for_family(mine) is engine._FAMILY_BACKENDS["edgeless"]
+    assert gi_distance_to_class(star, star_r, mine, 1, verify=True).isomorphic
+    assert _backend_for_family(builtin_family("threshold")) is engine._FAMILY_BACKENDS["cograph"]
+    # {K2, C4}-free graphs are edgeless; {P3, C5}-free ones are cluster graphs
+    both = ForbiddenFamily("x", (cycle_graph(4), complete_graph(2)))
+    assert _backend_for_family(both) is engine._FAMILY_BACKENDS["edgeless"]
+    wider = ForbiddenFamily("y", (cycle_graph(5), path_graph(3)))
+    assert _backend_for_family(wider) is engine._FAMILY_BACKENDS["cluster"]
+
+
+def test_twin_cover_check_survives_optimize():
+    # the uniformity check must not be an assert, which -O strips; in
+    # P3 minus its end vertex 0, the edge 1-2 is a clique attached unevenly
+    probe = (
+        "import sys\n"
+        "from kviso.engine import _check_uniform_clique_attachment\n"
+        "from kviso.graphs import path_graph\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(6)\n"
+        "try:\n"
+        "    _check_uniform_clique_attachment(path_graph(3), (0,))\n"
+        "except RuntimeError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(7)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-O", "-c", probe], env=env, timeout=60)
+    assert done.returncode == 0
+    with pytest.raises(RuntimeError):
+        engine._check_uniform_clique_attachment(path_graph(3), (0,))
 
 
 def test_oracle_agreement_random():

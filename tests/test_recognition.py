@@ -6,6 +6,7 @@ import random
 import pytest
 
 import helpers
+from kviso import recognition
 from kviso.graphs import (
     Graph,
     complete_graph,
@@ -14,6 +15,7 @@ from kviso.graphs import (
     emit_graph6,
     induced_subgraph,
     path_graph,
+    relabel,
     star_graph,
 )
 from kviso.recognition import (
@@ -194,3 +196,91 @@ def test_custom_family_round_trip(tmp_path):
         g = helpers.random_graph(rng, rng.randint(1, 7))
         expect = not any(helpers.brute_induces(g, h) for h in pats)
         assert is_member(g, fam) == expect
+
+
+def _check_threshold_finder(g, removed, member_of):
+    """The threshold route at one removal mask, against both references."""
+    thr = builtin_family("threshold")
+    keep = [v for v in range(g.n) if not removed & (1 << v)]
+    sub, _ = induced_subgraph(g, keep)
+    occ = first_occurrence_avoiding(g, thr, removed)
+    assert (occ is None) == member_of(sub) == helpers.is_threshold_by_peeling(sub)
+    if occ is not None:
+        assert len(occ) == 4 and list(occ) == sorted(set(occ))
+        assert not any(removed & (1 << v) for v in occ)
+        osub, _ = induced_subgraph(g, occ)
+        assert any(helpers.brute_induces(osub, h) for h in thr.patterns)
+
+
+def test_threshold_finder_exhaustive_small():
+    # every graph on at most 5 vertices with every removal mask; the
+    # remainders are themselves small graphs, so membership is memoized
+    thr = builtin_family("threshold")
+    memo = {}
+
+    def member_of(sub):
+        if sub not in memo:
+            memo[sub] = is_member(sub, thr)
+        return memo[sub]
+
+    for n in range(0, 6):
+        for g in _all_graphs_up_to(n):
+            for removed in range(1 << n):
+                _check_threshold_finder(g, removed, member_of)
+
+
+def test_threshold_finder_random_larger():
+    rng = random.Random(47)
+    thr = builtin_family("threshold")
+    for _ in range(40):
+        n = rng.randint(8, 12)
+        if rng.random() < 0.5:
+            # near-threshold graphs, so that None is a frequent answer
+            g = helpers.plant_deletion_vertices(rng, helpers.random_threshold(rng, n - 1), 1)
+        else:
+            g = helpers.random_graph(rng, n)
+        for removed in [0] + [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(3)]:
+            _check_threshold_finder(g, removed, lambda sub: is_member(sub, thr))
+
+
+def _no_scan(*args):
+    raise AssertionError("subset scan used")
+
+
+def test_occurrence_route_by_pattern_set(monkeypatch):
+    # the threshold set relabelled, reordered, repeated and renamed keeps
+    # its dedicated finder, and so does a renamed cluster pattern
+    monkeypatch.setattr(recognition, "_occurrence_scan", _no_scan)
+    p4, c4, two_k2 = builtin_family("threshold").patterns
+    fam = ForbiddenFamily(
+        "mine",
+        (relabel(two_k2, [3, 1, 0, 2]), relabel(c4, [1, 3, 2, 0]), p4, relabel(p4, [1, 3, 0, 2])),
+    )
+    rng = random.Random(53)
+    for _ in range(30):
+        g = helpers.random_graph(rng, rng.randint(1, 9))
+        occ = first_occurrence_avoiding(g, fam)
+        assert (occ is None) == is_member(g, fam)
+    g = path_graph(5)
+    assert first_occurrence_avoiding(g, fam) is not None
+    renamed_cluster = ForbiddenFamily("cograph", (relabel(path_graph(3), [1, 0, 2]),))
+    assert first_occurrence_avoiding(g, renamed_cluster) is not None
+
+
+def test_occurrence_route_other_sets_scan(monkeypatch):
+    scans = []
+    real_scan = recognition._occurrence_scan
+
+    def counting_scan(g, fam, mask):
+        scans.append(fam.name)
+        return real_scan(g, fam, mask)
+
+    monkeypatch.setattr(recognition, "_occurrence_scan", counting_scan)
+    p4, c4, two_k2 = builtin_family("threshold").patterns
+    no_p4_c4 = ForbiddenFamily("threshold", (p4, c4))
+    assert first_occurrence_avoiding(cycle_graph(4), no_p4_c4) == (0, 1, 2, 3)
+    assert first_occurrence_avoiding(two_k2, no_p4_c4) is None
+    # a superset of the threshold set is not the threshold set
+    extra = ForbiddenFamily("more", (p4, c4, two_k2, cycle_graph(5)))
+    assert first_occurrence_avoiding(path_graph(4), extra) == (0, 1, 2, 3)
+    assert scans == ["threshold", "threshold", "more"]
