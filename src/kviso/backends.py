@@ -152,26 +152,35 @@ def cotree_for_mask(g: Graph, mask: int) -> Cotree | None:
     Leaves keep original vertex ids. Union nodes split a disconnected
     subgraph into components, join nodes split by complement components;
     the two kinds alternate along every root-to-leaf path by construction.
+    Built without recursion, so a cotree may be as deep as the graph is
+    large.
     """
     if mask == 0:
         raise ValueError("empty vertex set has no cotree")
-    if mask & (mask - 1) == 0:
-        return CotreeLeaf(mask.bit_length() - 1)
-    comps = mask_components(g.adj_bits, mask)
-    if len(comps) > 1:
+    splits = []  # (mask, kind, child masks), every parent before its children
+    todo = [mask]
+    while todo:
+        m = todo.pop()
+        if m & (m - 1) == 0:
+            continue
+        comps = mask_components(g.adj_bits, m)
         kind = "union"
-    else:
-        comps = mask_complement_components(g.adj_bits, mask)
         if len(comps) == 1:
-            return None
-        kind = "join"
-    children = []
-    for comp in comps:
-        sub = cotree_for_mask(g, comp)
-        if sub is None:
-            return None
-        children.append(sub)
-    return CotreeNode(kind, tuple(children))
+            comps = mask_complement_components(g.adj_bits, m)
+            if len(comps) == 1:
+                return None
+            kind = "join"
+        splits.append((m, kind, comps))
+        todo.extend(reversed(comps))
+
+    nodes: dict[int, Cotree] = {}
+
+    def node(m: int) -> Cotree:
+        return nodes[m] if m & (m - 1) else CotreeLeaf(m.bit_length() - 1)
+
+    for m, kind, comps in reversed(splits):
+        nodes[m] = CotreeNode(kind, tuple(node(c) for c in comps))
+    return node(mask)
 
 
 def build_cotree(g: Graph) -> Cotree | None:
@@ -210,17 +219,29 @@ def cotree_to_graph(t: Cotree, n: int) -> Graph:
     return Graph(n, edges)
 
 
-def canonical_code(t: Cotree, colors) -> bytes:
+def canonical_code(t: Cotree, colors, codes: dict | None = None) -> bytes:
     """Order-independent serialization of a colored cotree.
 
     Two cotrees get the same code exactly when their graphs are isomorphic
     by a color-preserving map. `colors` is indexable by original vertex id.
+    When `codes` is given, the code of every subtree is stored in it under
+    id(subtree), so a caller can order children without recomputing them.
+    Computed bottom-up without recursion.
     """
-    if isinstance(t, CotreeLeaf):
-        return b"(L " + repr(colors[t.vertex]).encode() + b")"
-    tag = b"(U" if t.kind == "union" else b"(J"
-    parts = sorted(canonical_code(c, colors) for c in t.children)
-    return tag + b"".join(parts) + b")"
+    codes = {} if codes is None else codes
+    todo = [(t, False)]
+    while todo:
+        node, children_done = todo.pop()
+        if isinstance(node, CotreeLeaf):
+            codes[id(node)] = b"(L " + repr(colors[node.vertex]).encode() + b")"
+        elif children_done:
+            tag = b"(U" if node.kind == "union" else b"(J"
+            parts = sorted(codes[id(c)] for c in node.children)
+            codes[id(node)] = tag + b"".join(parts) + b")"
+        else:
+            todo.append((node, True))
+            todo.extend((c, False) for c in node.children)
+    return codes[id(t)]
 
 
 def colored_gi_cograph(cg1: ColoredGraph, cg2: ColoredGraph) -> IsoResult:
@@ -237,21 +258,22 @@ def colored_gi_cograph(cg1: ColoredGraph, cg2: ColoredGraph) -> IsoResult:
     if t2 is None:
         raise NotCographError("second graph has no cotree")
 
+    codes1: dict = {}
+    codes2: dict = {}
     labels1 = [cg1.label(v) for v in range(cg1.n)]
     labels2 = [cg2.label(v) for v in range(cg2.n)]
-    if canonical_code(t1, labels1) != canonical_code(t2, labels2):
+    if canonical_code(t1, labels1, codes1) != canonical_code(t2, labels2, codes2):
         return IsoResult.no()
 
+    # equal codes: children sorted by code pair off into equal-code subtrees
     mapping = [0] * cg1.n
-
-    def align(a: Cotree, b: Cotree):
+    todo = [(t1, t2)]
+    while todo:
+        a, b = todo.pop()
         if isinstance(a, CotreeLeaf):
             mapping[a.vertex] = b.vertex
-            return
-        sa = sorted(a.children, key=lambda c: canonical_code(c, labels1))
-        sb = sorted(b.children, key=lambda c: canonical_code(c, labels2))
-        for ca, cb in zip(sa, sb):
-            align(ca, cb)
-
-    align(t1, t2)
+            continue
+        sa = sorted(a.children, key=lambda c: codes1[id(c)])
+        sb = sorted(b.children, key=lambda c: codes2[id(c)])
+        todo.extend(zip(sa, sb))
     return IsoResult.yes(mapping)

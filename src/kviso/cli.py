@@ -116,6 +116,8 @@ def cmd_iso(args) -> int:
         "n2": g2.n,
         "candidate_sets": stats.candidate_sets,
         "bijections_tried": stats.bijections_tried,
+        "bijections_pruned": stats.bijections_pruned,
+        "backend_calls": stats.backend_calls,
         "wall_time_s": round(wall, 6),
     }
 

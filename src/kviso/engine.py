@@ -2,17 +2,18 @@
 
 The plan: pick a smallest deletion set S for the first graph, enumerate all
 minimal deletion sets of the same size for the second, and for each
-candidate try every bijection of S onto it that maps edges correctly. Under
-a fixed bijection, every remaining vertex is colored by which anchor
-vertices it sees, with one shared color key for both sides; the remainders
-then lie in the base class and a class-specific colored-isomorphism backend
-finishes the job. Any success composes into a full witness.
+candidate search the bijections of S onto it by backtracking, pruning
+partial maps by isomorphism invariants (degrees, adjacency among anchor
+vertices, sizes of attachment classes). Under a complete bijection, every
+remaining vertex is colored by which anchor vertices it sees, with one
+shared color key for both sides; the remainders then lie in the base class
+and a class-specific colored-isomorphism backend finishes the job. Any
+success composes into a full witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from .backends import (
     colored_gi_cluster,
@@ -44,7 +45,8 @@ class EngineStats:
     """Counters describing one engine run."""
 
     candidate_sets: int = 0
-    bijections_tried: int = 0
+    bijections_tried: int = 0  # complete anchor maps, each one backend call
+    bijections_pruned: int = 0  # partial anchor maps rejected by an invariant
     backend_calls: int = 0
 
 
@@ -94,13 +96,65 @@ def anchor_color(
     return ColoredGraph(sub, labels), idx
 
 
-def _anchor_bijection_ok(g1: Graph, g2: Graph, anchor, image) -> bool:
-    s = len(anchor)
-    for i in range(s):
-        for j in range(i + 1, s):
-            if (anchor[j] in g1.adj[anchor[i]]) != (image[j] in g2.adj[image[i]]):
-                return False
-    return True
+def _split_classes(classes: list, na: int, nb: int) -> list | None:
+    """Split each attachment class by adjacency to na (g1) and nb (g2).
+
+    Returns None when some class would split into parts of different sizes.
+    """
+    out = []
+    for m1, m2 in classes:
+        in1, in2 = m1 & na, m2 & nb
+        if in1.bit_count() != in2.bit_count():
+            return None
+        if in1:
+            out.append((in1, in2))
+        if in1 != m1:
+            out.append((m1 & ~na, m2 & ~nb))
+    return out
+
+
+def _anchor_maps(g1: Graph, g2: Graph, order, cand, stats: EngineStats):
+    """Yield every map of `order` onto `cand` that survives the prune.
+
+    Each yielded tuple lists the images of `order` in turn. A partial map
+    a_i -> b is extended only when deg(a_i) == deg(b), a_i and b agree on
+    adjacency to the anchor vertices mapped before them, and every
+    attachment class keeps equal sizes on both sides when split by
+    adjacency to a_i in g1 and to b in g2. A class is a pair of remainder
+    masks (g1 vertices, g2 vertices) that see corresponding mapped anchor
+    vertices. All three are isomorphism invariants, so a map that extends
+    to an isomorphism is never cut; each rejected extension counts as one
+    pruned bijection.
+    """
+    adj1, adj2 = g1.adj_bits, g2.adj_bits
+    image: list[int] = []
+
+    def extend(i: int, free: tuple, classes: list):
+        if i == len(order):
+            yield tuple(image)
+            return
+        a = order[i]
+        na = adj1[a]
+        for b in free:
+            nb = adj2[b]
+            split = None
+            if na.bit_count() == nb.bit_count() and all(
+                (na >> order[j] & 1) == (nb >> image[j] & 1) for j in range(i)
+            ):
+                split = _split_classes(classes, na, nb)
+            if split is None:
+                stats.bijections_pruned += 1
+                continue
+            image.append(b)
+            yield from extend(i + 1, tuple(v for v in free if v != b), split)
+            image.pop()
+
+    rest1, rest2 = (1 << g1.n) - 1, (1 << g2.n) - 1
+    for a in order:
+        rest1 &= ~(1 << a)
+    for b in cand:
+        rest2 &= ~(1 << b)
+    return extend(0, tuple(cand), [(rest1, rest2)])
 
 
 def _search_candidates(
@@ -111,7 +165,13 @@ def _search_candidates(
     backend,
     stats: EngineStats,
 ) -> IsoResult:
-    """Try every candidate set and anchor bijection; first success wins."""
+    """Try every candidate set and pruned anchor map; first success wins.
+
+    Anchor vertices of g1 are mapped in decreasing-degree order (ties by
+    vertex id), so the search order, and with it every counter, is fixed.
+    Only complete maps reach anchor colouring and the backend; by then the
+    attachment censuses of the two remainders agree.
+    """
     anchor = tuple(anchor)
     anchor_set = frozenset(anchor)
     key: dict = {}
@@ -119,24 +179,17 @@ def _search_candidates(
         if v not in anchor_set:
             key.setdefault(frozenset(g1.adj[v] & anchor_set), len(key))
     cg1, idx1 = anchor_color(g1, anchor, key)
+    order = sorted(anchor, key=lambda a: (-g1.degree(a), a))
 
     for cand in candidates:
-        cand = tuple(cand)
-        for image in permutations(cand):
+        for image in _anchor_maps(g1, g2, order, tuple(cand), stats):
             stats.bijections_tried += 1
-            if not _anchor_bijection_ok(g1, g2, anchor, image):
-                continue
-            phi = dict(zip(anchor, image))
+            phi = dict(zip(order, image))
             key2 = {
                 frozenset(phi[a] for a in subset): color
                 for subset, color in key.items()
             }
-            try:
-                cg2, idx2 = anchor_color(g2, cand, key2)
-            except KeyError:
-                # g2 has a remainder vertex whose anchor attachment never
-                # occurs in g1, so the censuses cannot match
-                continue
+            cg2, idx2 = anchor_color(g2, cand, key2)
             stats.backend_calls += 1
             result = backend(cg1, cg2)
             if result.isomorphic:
@@ -165,6 +218,8 @@ def _decide_generic(
     sets2 = enumerator(g2)
     if not sets1 or not sets2:
         return DistanceExceeded(k, not sets1, not sets2)
+    if g1.degree_sequence() != g2.degree_sequence():
+        return IsoResult.no()
     size = len(sets1[0].vertices)
     if size != len(sets2[0].vertices):
         return IsoResult.no()  # smallest deletion sizes differ

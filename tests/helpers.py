@@ -97,6 +97,43 @@ def plant_deletion_vertices(rng, g, extra, p=0.5):
     return Graph(n, edges)
 
 
+def edge_swapped_copy(rng, g, tries=20):
+    """Copy of g with one degree-preserving double edge swap, or g itself.
+
+    Edges a-b and c-d become a-d and c-b when those are new edges; the
+    result has g's degree sequence and is often not isomorphic to g.
+    """
+    edges = g.edges()
+    for _ in range(tries if len(edges) >= 2 else 0):
+        (a, b), (c, d) = rng.sample(edges, 2)
+        if rng.random() < 0.5:
+            c, d = d, c
+        if len({a, b, c, d}) < 4 or g.has_edge(a, d) or g.has_edge(c, b):
+            continue
+        rest = [e for e in edges if e not in ((a, b), (min(c, d), max(c, d)))]
+        return Graph(g.n, rest + [(a, d), (c, b)])
+    return g
+
+
+def cover_gadget(h, r, leaf_sets):
+    """Vertex-cover gadget with 2^r minimum covers of size h + r.
+
+    Vertices 0..h-1 are pairwise non-adjacent high vertices. r disjoint
+    edges follow, both endpoints joined to every high vertex, so either
+    endpoint completes a cover and all 2^r choices look alike. Then one
+    leaf per entry of `leaf_sets`, joined to the high vertices listed.
+    """
+    edges = []
+    v = h
+    for _ in range(r):
+        edges.append((v, v + 1))
+        edges += [(c, w) for c in range(h) for w in (v, v + 1)]
+        v += 2
+    for leaf, seen in enumerate(leaf_sets, start=v):
+        edges += [(c, leaf) for c in seen]
+    return Graph(v + len(leaf_sets), edges)
+
+
 def random_cnf(rng, num_vars, num_clauses, width=3):
     """Random CNF clause list over 1..num_vars, width literals per clause."""
     clauses = []

@@ -211,6 +211,26 @@ def test_canonical_code_relabel_invariance():
         )
 
 
+def test_deep_cotree_has_no_recursion_limit():
+    # alternately adding an isolated and a dominating vertex gives a cotree
+    # about as deep as the graph, far past Python's default recursion limit
+    n = 1200
+    g = Graph(n, [(u, v) for v in range(1, n, 2) for u in range(v)])
+    perm = list(range(n))
+    random.Random(41).shuffle(perm)
+    h = relabel(g, perm)
+    colors = [v % 3 for v in range(n)]
+    h_colors = [0] * n
+    for v in range(n):
+        h_colors[perm[v]] = colors[v]
+    cg, ch = ColoredGraph(g, colors), ColoredGraph(h, h_colors)
+    res = colored_gi_cograph(cg, ch)
+    assert res.isomorphic and verify_colored_isomorphism(cg, ch, res.witness)
+    # recolouring the last dominating vertex changes the code
+    h_colors[perm[n - 1]] = 3
+    assert not colored_gi_cograph(cg, ColoredGraph(h, h_colors)).isomorphic
+
+
 # ---------------------------------------------------------------------------
 # cograph backend
 

@@ -50,6 +50,9 @@ def test_iso_affirmative(graphs, capsys):
     rep = report_of(capsys)
     assert rep["verdict"] == "isomorphic"
     assert rep["param"] == "dist-cograph" and rep["k"] == 1
+    # the search counters are always reported, with no flag
+    assert rep["backend_calls"] == rep["bijections_tried"] >= 1
+    assert rep["bijections_pruned"] >= 0
     assert verify_isomorphism(path_graph(4), relabel(path_graph(4), [2, 0, 3, 1]),
                               tuple(rep["witness"]))
 
@@ -70,6 +73,7 @@ def test_iso_distance_exceeded(graphs, capsys):
     rep = report_of(capsys)
     assert rep["verdict"] == "distance-exceeded"
     assert rep["exceeded_by"] == [1, 2]
+    assert rep["backend_calls"] == rep["bijections_pruned"] == 0
 
 
 def test_iso_oracle_check(graphs, capsys):

@@ -240,34 +240,38 @@ def test_twin_cover_check_survives_optimize():
 
 
 def test_oracle_agreement_random():
+    # random, relabelled and degree-preserving swapped pairs; swapped pairs
+    # share a degree sequence, so only the anchor search can separate them
     rng = random.Random(11)
-    fams = [
-        ("distance-to-class", COG),
-        ("distance-to-class", CLU),
-        ("vertex-cover", None),
-        ("twin-cover", None),
-        ("distance-to-clique", None),
+    params = [
+        Parameterization("distance-to-class", 3, COG),
+        Parameterization("distance-to-class", 3, CLU),
+        Parameterization("distance-to-class", 3, builtin_family("threshold")),
+        Parameterization("vertex-cover", 3),
+        Parameterization("twin-cover", 3),
+        Parameterization("distance-to-clique", 3),
     ]
     agreements = 0
-    for trial in range(300):
+    for trial in range(600):
         n = rng.randint(1, 7)
         g1 = helpers.random_graph(rng, n)
-        if rng.random() < 0.5:
+        pick = rng.random()
+        if pick < 0.4:
             g2, _ = helpers.permuted_copy(rng, g1)
+        elif pick < 0.8:
+            g2, _ = helpers.permuted_copy(rng, helpers.edge_swapped_copy(rng, g1))
         else:
             g2 = helpers.random_graph(rng, n)
-        kind, fam = fams[trial % len(fams)]
-        if fam is not None:
-            p = Parameterization(kind, 3, fam)
-        else:
-            p = Parameterization(kind, 3)
+        p = params[trial % len(params)]
         res = decide(g1, g2, p, verify=True)
         if isinstance(res, DistanceExceeded):
             continue
         want = brute_force_gi(g1, g2)
         assert res.isomorphic == want.isomorphic
+        if res.isomorphic:
+            assert verify_isomorphism(g1, g2, res.witness)
         agreements += 1
-    assert agreements > 100
+    assert agreements > 200
 
 
 def test_permutation_closure_all_kinds():
@@ -359,3 +363,49 @@ def test_verify_flag_runs_clean_end_to_end(atlas):
         h, _ = helpers.permuted_copy(rng, g)
         res = gi_vertex_cover(g, h, 4, verify=True)
         assert isinstance(res, DistanceExceeded) or res.isomorphic
+
+
+def test_degree_sequences_differ_no_backend_call():
+    # g1 = P3 + 4K2 + K_{1,20}, g2 = 5K2 + K_{1,21}, padded to n=200: both
+    # have 26 edges and minimum covers of size 6, all independent, and g2
+    # has 2^5 of them; trying all 6! orders of each made 23,040 backend calls
+    g1 = Graph(
+        200,
+        [(0, 1), (1, 2)]
+        + [(3 + 2 * i, 4 + 2 * i) for i in range(4)]
+        + [(11, 12 + i) for i in range(20)],
+    )
+    g2 = Graph(
+        200,
+        [(2 * i, 2 * i + 1) for i in range(5)] + [(10, 11 + i) for i in range(21)],
+    )
+    stats = EngineStats()
+    res = gi_vertex_cover(g1, g2, 6, stats=stats)
+    assert isinstance(res, IsoResult) and not res.isomorphic
+    assert stats.backend_calls == 0
+
+
+def test_anchor_prune_separates_cover_gadgets():
+    # h=3 high vertices, r=3 symmetric edges and one leaf per non-empty set
+    # of high vertices; in g2 the leaves {0} and {1, 2} trade high
+    # neighbours 0 and 1. Degrees stay equal, but g1's leaves see seven
+    # distinct sets and g2's five, so every anchor map fails the class
+    # sizes before it is complete
+    leaf_sets = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+    swapped = [(1,), (1,), (2,), (0, 1), (0, 2), (0, 2), (0, 1, 2)]
+    g1 = helpers.cover_gadget(3, 3, leaf_sets)
+    g2, _ = helpers.permuted_copy(random.Random(43), helpers.cover_gadget(3, 3, swapped))
+    assert g1.degree_sequence() == g2.degree_sequence()
+    assert not brute_force_gi(g1, g2).isomorphic
+    stats = EngineStats()
+    res = gi_vertex_cover(g1, g2, 6, stats=stats)
+    assert isinstance(res, IsoResult) and not res.isomorphic
+    assert stats.candidate_sets == 8
+    assert stats.backend_calls == stats.bijections_tried == 0
+    assert stats.bijections_pruned > 0
+
+    # a relabelled copy: the first complete map is an isomorphism
+    h, _ = helpers.permuted_copy(random.Random(47), g1)
+    stats = EngineStats()
+    assert gi_vertex_cover(g1, h, 6, stats=stats, verify=True).isomorphic
+    assert stats.backend_calls == stats.bijections_tried == 1
