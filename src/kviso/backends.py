@@ -191,30 +191,42 @@ def build_cotree(g: Graph) -> Cotree | None:
 
 
 def cotree_leaves(t: Cotree) -> list[int]:
-    if isinstance(t, CotreeLeaf):
-        return [t.vertex]
+    """Leaf vertices in left-to-right order, found without recursion."""
     out = []
-    for c in t.children:
-        out.extend(cotree_leaves(c))
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, CotreeLeaf):
+            out.append(node.vertex)
+        else:
+            todo.extend(reversed(node.children))
     return out
 
 
 def cotree_to_graph(t: Cotree, n: int) -> Graph:
-    """Rebuild the graph a cotree describes. Leaves must cover 0..n-1."""
+    """Rebuild the graph a cotree describes. Leaves must cover 0..n-1.
+
+    Built bottom-up without recursion, like `canonical_code`.
+    """
     edges: list[tuple[int, int]] = []
-
-    def rec(node: Cotree) -> list[int]:
+    leaves: dict[int, list[int]] = {}  # id(subtree) -> its leaves in order
+    todo = [(t, False)]
+    while todo:
+        node, children_done = todo.pop()
         if isinstance(node, CotreeLeaf):
-            return [node.vertex]
-        parts = [rec(c) for c in node.children]
-        if node.kind == "join":
-            for i in range(len(parts)):
-                for j in range(i + 1, len(parts)):
-                    edges.extend((u, v) for u in parts[i] for v in parts[j])
-        return [v for part in parts for v in part]
+            leaves[id(node)] = [node.vertex]
+        elif children_done:
+            parts = [leaves[id(c)] for c in node.children]
+            if node.kind == "join":
+                for i in range(len(parts)):
+                    for j in range(i + 1, len(parts)):
+                        edges.extend((u, v) for u in parts[i] for v in parts[j])
+            leaves[id(node)] = [v for part in parts for v in part]
+        else:
+            todo.append((node, True))
+            todo.extend((c, False) for c in node.children)
 
-    vs = rec(t)
-    if sorted(vs) != list(range(n)):
+    if sorted(leaves[id(t)]) != list(range(n)):
         raise ValueError("cotree leaves do not cover 0..n-1")
     return Graph(n, edges)
 

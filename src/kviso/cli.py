@@ -32,17 +32,23 @@ from .games import (
 )
 from .graphs import Graph, GraphFormatError, parse_dimacs, parse_graph6
 from .oracle import brute_force_gi
-from .recognition import builtin_family, family_from_graph6_file, is_member
+from .recognition import (
+    BUILTIN_CLASSES,
+    builtin_family,
+    family_from_graph6_file,
+    is_member,
+)
 from .results import DistanceExceeded, IsoResult
 
-PARAM_CHOICES = (
-    "vc",
-    "twin-cover",
-    "dist-clique",
-    "dist-cograph",
-    "dist-cluster",
-    "dist-threshold",
-)
+# --param name -> (engine kind, built-in family for distance-to-class)
+PARAM_CHOICES = {
+    "vc": ("vertex-cover", None),
+    "twin-cover": ("twin-cover", None),
+    "dist-clique": ("distance-to-clique", None),
+    "dist-cograph": ("distance-to-class", "cograph"),
+    "dist-cluster": ("distance-to-class", "cluster"),
+    "dist-threshold": ("distance-to-class", "threshold"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,17 +80,6 @@ def load_graph(path: str, fmt: str | None = None) -> Graph:
             ) from None
 
 
-def _parameterization(name: str, k: int) -> Parameterization:
-    if name == "vc":
-        return Parameterization("vertex-cover", k)
-    if name == "twin-cover":
-        return Parameterization("twin-cover", k)
-    if name == "dist-clique":
-        return Parameterization("distance-to-clique", k)
-    fam = builtin_family(name.removeprefix("dist-"))
-    return Parameterization("distance-to-class", k, fam)
-
-
 def _family_from_args(args) -> object:
     if getattr(args, "family_file", None):
         return family_from_graph6_file(args.family_file)
@@ -103,7 +98,10 @@ def _print_sets(sets) -> None:
 def cmd_iso(args) -> int:
     g1 = load_graph(args.graph1, args.format)
     g2 = load_graph(args.graph2, args.format)
-    param = _parameterization(args.param, args.k)
+    kind, family = PARAM_CHOICES[args.param]
+    param = Parameterization(
+        kind, args.k, builtin_family(family) if family else None
+    )
     stats = EngineStats()
     t0 = perf_counter()
     result = decide(g1, g2, param, stats=stats, verify=True)
@@ -255,7 +253,7 @@ def _add_family(p: argparse.ArgumentParser) -> None:
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument(
         "--family",
-        choices=("cograph", "cluster", "threshold", "edgeless"),
+        choices=tuple(BUILTIN_CLASSES),
         help="built-in forbidden family",
     )
     grp.add_argument(
@@ -277,11 +275,6 @@ def build_parser() -> _Parser:
         "--certificate",
         action="store_true",
         help="include the vertex mapping in the report",
-    )
-    p.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="force sequential candidate order (always on; kept for scripts)",
     )
     p.add_argument(
         "--oracle-check",

@@ -1,14 +1,24 @@
 """Isomorphism of graphs that are k vertex deletions away from a base class.
 
-The plan: pick a smallest deletion set S for the first graph, enumerate all
+Every parameterization runs one decision path, `decide`. Its kind only
+picks three things:
+
+- an input transform: the complement for distance-to-clique, else none;
+- a deletion-set enumerator: the vertex-cover kernel route for
+  vertex-cover and distance-to-clique, twin covers for twin-cover, the
+  bounded search tree of the family for distance-to-class;
+- the colored-isomorphism backend of the base class: edgeless, cluster, or
+  the smallest built-in class containing the family's class.
+
+The path: pick a smallest deletion set S for the first graph, enumerate all
 minimal deletion sets of the same size for the second, and for each
 candidate search the bijections of S onto it by backtracking, pruning
 partial maps by isomorphism invariants (degrees, adjacency among anchor
 vertices, sizes of attachment classes). Under a complete bijection, every
 remaining vertex is colored by which anchor vertices it sees, with one
 shared color key for both sides; the remainders then lie in the base class
-and a class-specific colored-isomorphism backend finishes the job. Any
-success composes into a full witness.
+and the backend finishes the job. Any success composes into a full witness.
+The `gi_*` functions are shorthands for `decide` with one kind.
 """
 
 from __future__ import annotations
@@ -30,8 +40,6 @@ from .graphs import (
     Graph,
     complement,
     induced_subgraph,
-    iter_bits,
-    mask_components,
     verify_isomorphism,
 )
 from .recognition import ForbiddenFamily, builtin_family, is_member
@@ -202,41 +210,6 @@ def _search_candidates(
     return IsoResult.no()
 
 
-def _decide_generic(
-    g1: Graph,
-    g2: Graph,
-    k: int,
-    enumerator,
-    backend,
-    stats: EngineStats,
-    verify: bool,
-    candidate_check=None,
-) -> IsoResult | DistanceExceeded:
-    if g1.n != g2.n or g1.num_edges != g2.num_edges:
-        return IsoResult.no()
-    sets1 = enumerator(g1)
-    sets2 = enumerator(g2)
-    if not sets1 or not sets2:
-        return DistanceExceeded(k, not sets1, not sets2)
-    if g1.degree_sequence() != g2.degree_sequence():
-        return IsoResult.no()
-    size = len(sets1[0].vertices)
-    if size != len(sets2[0].vertices):
-        return IsoResult.no()  # smallest deletion sizes differ
-    anchor = sets1[0].vertices
-    candidates = [d.vertices for d in sets2 if len(d.vertices) == size]
-    stats.candidate_sets = len(candidates)
-    if candidate_check is not None:
-        candidate_check(g1, anchor)
-        for cand in candidates:
-            candidate_check(g2, cand)
-    result = _search_candidates(g1, g2, anchor, candidates, backend, stats)
-    if verify and result.isomorphic:
-        if not verify_isomorphism(g1, g2, result.witness):
-            raise RuntimeError("engine produced an invalid witness")
-    return result
-
-
 # built-in classes with a backend, smallest first; each forbids one pattern
 _FAMILY_BACKENDS = {
     "edgeless": colored_gi_independent,
@@ -262,6 +235,81 @@ def _backend_for_family(fam: ForbiddenFamily):
     )
 
 
+def decide(
+    g1: Graph,
+    g2: Graph,
+    parameterization: Parameterization,
+    stats: EngineStats | None = None,
+    verify: bool = False,
+) -> IsoResult | DistanceExceeded:
+    """Decide isomorphism of g1 and g2 under one parameterization.
+
+    The kind picks an input transform, a deletion-set enumerator and the
+    backend of its base class; every kind then runs the same anchor search.
+    """
+    p = parameterization
+    k = p.k
+    stats = stats if stats is not None else EngineStats()
+    # Names are looked up here, at call time, never bound in a table at
+    # import, so a caller may substitute them (the benchmark's tracer does).
+    if p.kind == "distance-to-clique":
+        # a witness between the complements is one between the originals
+        g1, g2 = complement(g1), complement(g2)
+    if p.kind == "distance-to-class":
+        backend = _backend_for_family(p.family)
+        enumerate_sets = lambda g: enumerate_deletion_sets(g, p.family, k)
+    elif p.kind == "twin-cover":
+        # a twin cover's remainder is a union of cliques, each attached
+        # uniformly to the cover (checked in the tests)
+        backend = _FAMILY_BACKENDS["cluster"]
+        enumerate_sets = lambda g: enumerate_twin_covers(g, k)
+    else:
+        # vertex cover, or vertex cover of the complements
+        backend = _FAMILY_BACKENDS["edgeless"]
+        enumerate_sets = lambda g: enumerate_minimal_vertex_covers(g, k)
+
+    if g1.n != g2.n or g1.num_edges != g2.num_edges:
+        return IsoResult.no()
+    sets1 = enumerate_sets(g1)
+    sets2 = enumerate_sets(g2)
+    if not sets1 or not sets2:
+        return DistanceExceeded(k, not sets1, not sets2)
+    if g1.degree_sequence() != g2.degree_sequence():
+        return IsoResult.no()
+    size = len(sets1[0].vertices)
+    if size != len(sets2[0].vertices):
+        return IsoResult.no()  # smallest deletion sizes differ
+    anchor = sets1[0].vertices
+    candidates = [d.vertices for d in sets2 if len(d.vertices) == size]
+    stats.candidate_sets = len(candidates)
+    result = _search_candidates(g1, g2, anchor, candidates, backend, stats)
+    if verify and result.isomorphic:
+        if not verify_isomorphism(g1, g2, result.witness):
+            raise RuntimeError("engine produced an invalid witness")
+    return result
+
+
+def gi_vertex_cover(
+    g1: Graph, g2: Graph, k: int, stats: EngineStats | None = None, verify: bool = False
+) -> IsoResult | DistanceExceeded:
+    """Isomorphism for graphs with a vertex cover of size <= k."""
+    return decide(g1, g2, Parameterization("vertex-cover", k), stats, verify)
+
+
+def gi_twin_cover(
+    g1: Graph, g2: Graph, k: int, stats: EngineStats | None = None, verify: bool = False
+) -> IsoResult | DistanceExceeded:
+    """Isomorphism for graphs with a twin cover of size <= k."""
+    return decide(g1, g2, Parameterization("twin-cover", k), stats, verify)
+
+
+def gi_distance_to_clique(
+    g1: Graph, g2: Graph, k: int, stats: EngineStats | None = None, verify: bool = False
+) -> IsoResult | DistanceExceeded:
+    """Isomorphism for graphs that are k deletions away from a complete graph."""
+    return decide(g1, g2, Parameterization("distance-to-clique", k), stats, verify)
+
+
 def gi_distance_to_class(
     g1: Graph,
     g2: Graph,
@@ -271,101 +319,4 @@ def gi_distance_to_class(
     verify: bool = False,
 ) -> IsoResult | DistanceExceeded:
     """Isomorphism for graphs at deletion distance <= k from fam's class."""
-    stats = stats if stats is not None else EngineStats()
-    backend = _backend_for_family(fam)
-    return _decide_generic(
-        g1,
-        g2,
-        k,
-        lambda g: enumerate_deletion_sets(g, fam, k),
-        backend,
-        stats,
-        verify,
-    )
-
-
-def gi_vertex_cover(
-    g1: Graph,
-    g2: Graph,
-    k: int,
-    stats: EngineStats | None = None,
-    verify: bool = False,
-) -> IsoResult | DistanceExceeded:
-    """Isomorphism for graphs with a vertex cover of size <= k."""
-    stats = stats if stats is not None else EngineStats()
-    return _decide_generic(
-        g1,
-        g2,
-        k,
-        lambda g: enumerate_minimal_vertex_covers(g, k),
-        colored_gi_independent,
-        stats,
-        verify,
-    )
-
-
-def _check_uniform_clique_attachment(g: Graph, cover) -> None:
-    # after removing a twin cover, the members of one leftover clique are
-    # pairwise twins, so they must all see the same cover vertices
-    cover_mask = 0
-    for v in cover:
-        cover_mask |= 1 << v
-    rest = ((1 << g.n) - 1) & ~cover_mask
-    for comp in mask_components(g.adj_bits, rest):
-        attachments = {g.adj_bits[v] & cover_mask for v in iter_bits(comp)}
-        if len(attachments) != 1:
-            raise RuntimeError("twin-cover remainder clique is not uniform")
-
-
-def gi_twin_cover(
-    g1: Graph,
-    g2: Graph,
-    k: int,
-    stats: EngineStats | None = None,
-    verify: bool = False,
-) -> IsoResult | DistanceExceeded:
-    """Isomorphism for graphs with a twin cover of size <= k."""
-    stats = stats if stats is not None else EngineStats()
-    return _decide_generic(
-        g1,
-        g2,
-        k,
-        lambda g: enumerate_twin_covers(g, k),
-        colored_gi_cluster,
-        stats,
-        verify,
-        candidate_check=_check_uniform_clique_attachment,
-    )
-
-
-def gi_distance_to_clique(
-    g1: Graph,
-    g2: Graph,
-    k: int,
-    stats: EngineStats | None = None,
-    verify: bool = False,
-) -> IsoResult | DistanceExceeded:
-    """Isomorphism for graphs that are k deletions away from a complete graph.
-
-    Runs the vertex-cover engine on the complements; a witness between the
-    complements is a witness between the originals unchanged.
-    """
-    return gi_vertex_cover(complement(g1), complement(g2), k, stats, verify)
-
-
-def decide(
-    g1: Graph,
-    g2: Graph,
-    parameterization: Parameterization,
-    stats: EngineStats | None = None,
-    verify: bool = False,
-) -> IsoResult | DistanceExceeded:
-    """Single entry point dispatching on the parameterization kind."""
-    p = parameterization
-    if p.kind == "vertex-cover":
-        return gi_vertex_cover(g1, g2, p.k, stats, verify)
-    if p.kind == "twin-cover":
-        return gi_twin_cover(g1, g2, p.k, stats, verify)
-    if p.kind == "distance-to-clique":
-        return gi_distance_to_clique(g1, g2, p.k, stats, verify)
-    return gi_distance_to_class(g1, g2, p.family, p.k, stats, verify)
+    return decide(g1, g2, Parameterization("distance-to-class", k, fam), stats, verify)

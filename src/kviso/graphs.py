@@ -324,7 +324,7 @@ def are_twins(g: Graph, u: int, v: int) -> bool:
     """True iff u and v have the same neighbourhood outside the pair."""
     if u == v:
         raise ValueError("twin test needs two distinct vertices")
-    return g.adj[u] - {v} == g.adj[v] - {u}
+    return (g.adj_bits[u] ^ g.adj_bits[v]) & ~(1 << u | 1 << v) == 0
 
 
 def verify_isomorphism(g: Graph, h: Graph, f: VertexBijection) -> bool:

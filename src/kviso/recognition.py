@@ -15,7 +15,9 @@ its name, its pattern order or repeated patterns):
   form after Heggernes & Kratsch 2007);
 - any other set: the generic subset scan, O(n^d) subsets.
 
-The route is computed once per family and kept on it.
+The route is computed once per family and kept on it. The four built-in
+classes, each with its family and finder, live in one table,
+`BUILTIN_CLASSES`, from which the command line takes its `--family` names.
 """
 
 from __future__ import annotations
@@ -67,27 +69,12 @@ class ForbiddenFamily:
         return _finder_for(self.patterns)
 
 
-_BUILTIN_PATTERNS = {
-    "cograph": lambda: (path_graph(4),),
-    "cluster": lambda: (path_graph(3),),
-    "threshold": lambda: (
-        path_graph(4),
-        cycle_graph(4),
-        disjoint_union(complete_graph(2), complete_graph(2)),
-    ),
-    "edgeless": lambda: (complete_graph(2),),
-}
-_builtin_cache: dict[str, ForbiddenFamily] = {}
-
-
 def builtin_family(name: str) -> ForbiddenFamily:
     """One of the built-in families: cograph, cluster, threshold, edgeless."""
-    if name not in _BUILTIN_PATTERNS:
-        known = ", ".join(sorted(_BUILTIN_PATTERNS))
+    if name not in BUILTIN_CLASSES:
+        known = ", ".join(sorted(BUILTIN_CLASSES))
         raise ValueError(f"unknown family {name!r} (known: {known})")
-    if name not in _builtin_cache:
-        _builtin_cache[name] = ForbiddenFamily(name, _BUILTIN_PATTERNS[name]())
-    return _builtin_cache[name]
+    return BUILTIN_CLASSES[name][0]
 
 
 def family_from_graph6_file(path, name: str | None = None) -> ForbiddenFamily:
@@ -258,12 +245,22 @@ def first_occurrence_avoiding(
     return finder(g, mask)
 
 
-# built-in pattern sets with a dedicated finder
-_FINDERS = {
-    "edgeless": _occurrence_edge,
-    "cluster": _occurrence_path3,
-    "cograph": _occurrence_path4,
-    "threshold": _occurrence_threshold,
+# built-in classes: name -> (forbidden family, dedicated occurrence finder)
+BUILTIN_CLASSES = {
+    "cograph": (ForbiddenFamily("cograph", (path_graph(4),)), _occurrence_path4),
+    "cluster": (ForbiddenFamily("cluster", (path_graph(3),)), _occurrence_path3),
+    "threshold": (
+        ForbiddenFamily(
+            "threshold",
+            (
+                path_graph(4),
+                cycle_graph(4),
+                disjoint_union(complete_graph(2), complete_graph(2)),
+            ),
+        ),
+        _occurrence_threshold,
+    ),
+    "edgeless": (ForbiddenFamily("edgeless", (complete_graph(2),)), _occurrence_edge),
 }
 
 
@@ -276,8 +273,8 @@ def _covers(patterns, others) -> bool:
 
 
 def _finder_for(patterns: tuple[Graph, ...]):
-    for name, finder in _FINDERS.items():
-        known = builtin_family(name).patterns
+    for fam, finder in BUILTIN_CLASSES.values():
+        known = fam.patterns
         if _covers(patterns, known) and _covers(known, patterns):
             return finder
     return None

@@ -231,6 +231,24 @@ def test_deep_cotree_has_no_recursion_limit():
     assert not colored_gi_cograph(cg, ColoredGraph(h, h_colors)).isomorphic
 
 
+def test_deep_cotree_leaves_and_rebuild_without_recursion():
+    # the same alternating cograph at n=1600, cotree built by hand: vertex v
+    # is dominating (a join) when odd, isolated (a union) when even
+    n = 1600
+    t = CotreeLeaf(0)
+    for v in range(1, n):
+        t = CotreeNode("join" if v % 2 else "union", (CotreeLeaf(v), t))
+    assert cotree_leaves(t) == list(range(n - 1, -1, -1))
+    # v sees every lower vertex when odd, and every higher odd vertex
+    want = []
+    odd_above = 0
+    for v in range(n - 1, -1, -1):
+        want.append((((1 << v) - 1) if v % 2 else 0) | odd_above)
+        if v % 2:
+            odd_above |= 1 << v
+    assert cotree_to_graph(t, n).adj_bits == tuple(reversed(want))
+
+
 # ---------------------------------------------------------------------------
 # cograph backend
 

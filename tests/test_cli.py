@@ -91,9 +91,11 @@ def test_iso_oracle_check_skipped_when_large(tmp_path, capsys):
     assert report_of(capsys)["oracle_check"].startswith("skipped")
 
 
-def test_iso_deterministic_flag_accepted(graphs):
+def test_iso_deterministic_flag_removed(graphs, capsys):
+    # the flag did nothing and is gone; passing it is a usage error
     assert main(["iso", graphs["p4"], graphs["p4r"], "--param", "dist-cograph",
-                 "--k", "1", "--deterministic"]) == 0
+                 "--k", "1", "--deterministic"]) == 3
+    assert "--deterministic" in capsys.readouterr().err
 
 
 def test_recognize(graphs, capsys):

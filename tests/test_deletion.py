@@ -24,6 +24,7 @@ from kviso.graphs import (
     disjoint_union,
     empty_graph,
     induced_subgraph,
+    mask_components,
     path_graph,
     star_graph,
 )
@@ -215,6 +216,28 @@ def test_twin_cover_leaves_cliques():
             rest = [v for v in range(g.n) if v not in ds.vertices]
             sub, _ = induced_subgraph(g, rest)
             assert is_member(sub, builtin_family("cluster"))
+
+
+def test_twin_cover_cliques_attach_uniformly():
+    # the cluster backend colours a twin cover's remainder by attachment;
+    # every remainder clique must see one set of cover vertices, since its
+    # members are pairwise twins in g
+    rng = random.Random(79)
+    checked = 0
+    for _ in range(300):
+        extra = rng.randint(0, 4)
+        base = helpers.random_cluster(rng, rng.randint(1, 12 - extra))
+        g, _ = helpers.permuted_copy(
+            rng, helpers.plant_deletion_vertices(rng, base, extra)
+        )
+        for ds in enumerate_twin_covers(g, rng.randint(0, 4)):
+            cover = sum(1 << v for v in ds.vertices)
+            rest = ((1 << g.n) - 1) & ~cover
+            for comp in mask_components(g.adj_bits, rest):
+                members = [v for v in range(g.n) if comp >> v & 1]
+                assert len({g.adj_bits[v] & cover for v in members}) == 1
+            checked += 1
+    assert checked > 200
 
 
 def test_twin_cover_of_disjoint_cliques_is_empty_set():

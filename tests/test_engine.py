@@ -1,10 +1,6 @@
 """The deletion-anchored isomorphism engine."""
 
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -214,29 +210,6 @@ def test_backend_by_class_not_name():
     assert _backend_for_family(both) is engine._FAMILY_BACKENDS["edgeless"]
     wider = ForbiddenFamily("y", (cycle_graph(5), path_graph(3)))
     assert _backend_for_family(wider) is engine._FAMILY_BACKENDS["cluster"]
-
-
-def test_twin_cover_check_survives_optimize():
-    # the uniformity check must not be an assert, which -O strips; in
-    # P3 minus its end vertex 0, the edge 1-2 is a clique attached unevenly
-    probe = (
-        "import sys\n"
-        "from kviso.engine import _check_uniform_clique_attachment\n"
-        "from kviso.graphs import path_graph\n"
-        "if not sys.flags.optimize:\n"
-        "    sys.exit(6)\n"
-        "try:\n"
-        "    _check_uniform_clique_attachment(path_graph(3), (0,))\n"
-        "except RuntimeError:\n"
-        "    sys.exit(0)\n"
-        "sys.exit(7)\n"
-    )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    done = subprocess.run([sys.executable, "-O", "-c", probe], env=env, timeout=60)
-    assert done.returncode == 0
-    with pytest.raises(RuntimeError):
-        engine._check_uniform_clique_attachment(path_graph(3), (0,))
 
 
 def test_oracle_agreement_random():
