@@ -250,6 +250,10 @@ def decide(
     p = parameterization
     k = p.k
     stats = stats if stats is not None else EngineStats()
+    # two graphs have equal n and m iff their complements do, so this
+    # reject may come before the distance-to-clique transform
+    if g1.n != g2.n or g1.num_edges != g2.num_edges:
+        return IsoResult.no()
     # Names are looked up here, at call time, never bound in a table at
     # import, so a caller may substitute them (the benchmark's tracer does).
     if p.kind == "distance-to-clique":
@@ -268,8 +272,6 @@ def decide(
         backend = _FAMILY_BACKENDS["edgeless"]
         enumerate_sets = lambda g: enumerate_minimal_vertex_covers(g, k)
 
-    if g1.n != g2.n or g1.num_edges != g2.num_edges:
-        return IsoResult.no()
     sets1 = enumerate_sets(g1)
     sets2 = enumerate_sets(g2)
     if not sets1 or not sets2:

@@ -7,7 +7,7 @@ and not tautology.
 
 import itertools
 
-from kviso.graphs import Graph
+from kviso.graphs import Graph, GraphFormatError
 
 
 # ---------------------------------------------------------------------------
@@ -244,3 +244,76 @@ def cnf_weight_k_satisfiable(num_vars, clauses, k):
             if cnf_true_under(clauses, set(combo)):
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# per-bit graph6 decoder and pairwise witness check
+
+
+def reference_parse_graph6(line):
+    """graph6 decoder that tests every bit of the triangle in Python."""
+
+    def byte(ch):
+        val = ord(ch)
+        if not 63 <= val <= 126:
+            raise GraphFormatError(f"illegal graph6 byte {val!r} ({ch!r})")
+        return val - 63
+
+    s = line.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise GraphFormatError("empty graph6 line")
+
+    vals = [byte(c) for c in s]
+    if vals[0] < 63:
+        n = vals[0]
+        body = vals[1:]
+    elif len(vals) >= 2 and vals[1] < 63:
+        if len(vals) < 4:
+            raise GraphFormatError("truncated graph6 length header")
+        n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
+        if n < 63:
+            raise GraphFormatError("non-canonical graph6 length header")
+        body = vals[4:]
+    else:
+        if len(vals) < 8:
+            raise GraphFormatError("truncated graph6 length header")
+        n = 0
+        for v in vals[2:8]:
+            n = (n << 6) | v
+        if n < 258048:
+            raise GraphFormatError("non-canonical graph6 length header")
+        body = vals[8:]
+
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    if len(body) < nbytes:
+        raise GraphFormatError("truncated graph6 bit-vector")
+    if len(body) > nbytes:
+        raise GraphFormatError("trailing bytes after graph6 bit-vector")
+
+    edges = []
+    k = 0
+    for v in range(1, n):
+        for u in range(v):
+            if body[k // 6] & (1 << (5 - k % 6)):
+                edges.append((u, v))
+            k += 1
+    while k < 6 * nbytes:
+        if body[k // 6] & (1 << (5 - k % 6)):
+            raise GraphFormatError("nonzero padding in graph6 bit-vector")
+        k += 1
+    return Graph(n, edges)
+
+
+def reference_verify_isomorphism(g, h, f):
+    """Witness check that compares every vertex pair of g with its image."""
+    n = g.n
+    if h.n != n or len(f) != n or sorted(f) != list(range(n)):
+        return False
+    return all(
+        (v in g.adj[u]) == (f[v] in h.adj[f[u]])
+        for u in range(n)
+        for v in range(u + 1, n)
+    )

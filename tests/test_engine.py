@@ -173,6 +173,17 @@ def test_distance_to_clique_examples():
     assert verify_isomorphism(k5e, h, res.witness)
 
 
+def test_distance_to_clique_edge_count_reject_precedes_complement(monkeypatch):
+    # graphs with different edge counts are answered before any complement
+    def no_complement(g):
+        raise AssertionError("complement built for a pair with different m")
+
+    monkeypatch.setattr(engine, "complement", no_complement)
+    k5e = Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)][1:])
+    res = gi_distance_to_clique(complete_graph(5), k5e, 2)
+    assert isinstance(res, IsoResult) and not res.isomorphic
+
+
 def test_decide_dispatch():
     g = star_graph(3)
     for p in [

@@ -1,6 +1,7 @@
 """Graph type, formats, and elementary operations."""
 
 import random
+import time
 
 import pytest
 
@@ -120,6 +121,66 @@ def test_graph6_round_trip_large_n():
         text = emit_graph6(g)
         assert parse_graph6(text) == g
         assert emit_graph6(parse_graph6(text)) == text
+
+
+def _g6_header(n):
+    if n <= 62:
+        return chr(63 + n)
+    return "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
+
+
+def _g6_outcome(parse, line):
+    try:
+        g = parse(line)
+    except GraphFormatError as exc:
+        return "error", str(exc)
+    return g.n, g.num_edges, g.adj_bits, [list(s) for s in g.adj]
+
+
+def test_graph6_matches_per_bit_reference():
+    rng = random.Random(21)
+    for n in [0, 1, 2, 5, 62, 63, 64, 258, 300]:
+        for p in [0, 0.05, 0.5, 1]:
+            text = emit_graph6(helpers.random_graph(rng, n, p))
+            for line in [text, ">>graph6<<" + text, f" \t{text}\r\n",
+                         f"  >>graph6<<{text}\n"]:
+                got = _g6_outcome(parse_graph6, line)
+                assert got[0] == n
+                assert got == _g6_outcome(helpers.reference_parse_graph6, line)
+
+
+def test_graph6_malformed_messages_match_reference():
+    # n=302 leaves 5 padding bits in the last body byte
+    long_header = _g6_header(302)
+    long_body = "?" * ((302 * 301 // 2 + 5) // 6)
+    bad = [
+        "!_", "~?\x7f?", "~~?\x00?????",  # illegal byte in the header
+        "A!", "A\x7f", "D?\xe9", "D?\u20ac", "~?!",  # ... in the body
+        "~?A", "~?", "~",  # truncated 4-byte header
+        "~~???", "~~??????"[:7],  # truncated 8-byte header
+        "~??A_", "~~??????", "~~?????A" + "?" * 6,  # non-canonical header
+        "D?", long_header + long_body[:-1],  # truncated body
+        "A_?", long_header + long_body + "?",  # trailing bytes
+        "A`", "D?|", long_header + long_body[:-1] + "@",  # nonzero padding
+        "", "  \n", ">>graph6<<", " >>graph6<< \n",  # nothing to decode
+    ]
+    for line in bad:
+        got = _g6_outcome(parse_graph6, line)
+        assert got[0] == "error", line[:20]
+        assert got == _g6_outcome(helpers.reference_parse_graph6, line), line[:20]
+
+
+def test_graph6_large_edgeless_parse_is_fast():
+    # the per-bit decoder took about 1.1 s on this line, one step per pair
+    n = 4000
+    line = _g6_header(n) + "?" * ((n * (n - 1) // 2 + 5) // 6)
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        g = parse_graph6(line)
+        best = min(best, time.perf_counter() - t0)
+    assert g.n == n and g.num_edges == 0
+    assert best < 0.4
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +311,40 @@ def test_verify_isomorphism_random_relabels():
         g = helpers.random_graph(rng, rng.randint(1, 10))
         h, perm = helpers.permuted_copy(rng, g)
         assert verify_isomorphism(g, h, tuple(perm))
+
+
+def test_verify_isomorphism_matches_pairwise_reference():
+    rng = random.Random(23)
+    rejected = 0
+    for n in [1, 2, 5, 12, 40]:
+        for p in [0.05, 0.5, 0.95]:
+            g = helpers.random_graph(rng, n, p)
+            h, perm = helpers.permuted_copy(rng, g)
+            swapped = list(perm)
+            if n >= 2:
+                i, j = rng.sample(range(n), 2)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+            repeated = list(perm)
+            repeated[0] = perm[-1]
+            out_of_range = list(perm)
+            out_of_range[-1] = n
+            cases = [
+                (g, h, perm),
+                (g, h, swapped),
+                (g, h, perm[:-1]),
+                (g, h, perm + [n]),
+                (g, h, repeated),
+                (g, h, out_of_range),
+                (g, helpers.random_graph(rng, n + 1, p), perm + [n]),
+                (helpers.random_graph(rng, n + 1, p), h, perm + [n]),
+            ]
+            for a, b, f in cases:
+                want = helpers.reference_verify_isomorphism(a, b, f)
+                assert verify_isomorphism(a, b, f) == want
+                assert verify_isomorphism(a, b, tuple(f)) == want
+            assert verify_isomorphism(g, h, perm)
+            rejected += not verify_isomorphism(g, h, swapped)
+    assert rejected >= 5  # most transpositions break the witness
 
 
 def test_colored_graph_normalization():
